@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "routing/ecmp.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::routing {
@@ -57,12 +58,23 @@ std::size_t Fib::max_rules_per_switch() const {
 Fib compile_fib(const topo::Topology& topo, Routing& routing,
                 const std::vector<std::pair<NodeId, NodeId>>& pairs) {
   Fib fib(topo.switch_count());
-  for (auto [src, dst] : pairs) {
-    if (src == dst) continue;
-    for (const graph::Path& path : routing.paths(src, dst))
-      for (std::size_t i = 0; i < path.links.size(); ++i)
-        fib.add_route(path.nodes[i], dst, path.links[i]);
-  }
+  std::vector<graph::Arc> hops;
+  auto from_dag = [&](const ShortestPathDag& dag) {
+    for (NodeId u : dag.entries()) {
+      auto arcs = dag.next_arcs(u);
+      hops.assign(arcs.begin(), arcs.end());
+      std::sort(hops.begin(), hops.end(),
+                [](const graph::Arc& a, const graph::Arc& b) { return a.to < b.to; });
+      for (const graph::Arc& arc : hops) fib.add_route(u, dag.destination(), arc.link);
+    }
+  };
+  auto from_paths = [&](NodeId dst, const std::vector<NodeId>& sources) {
+    for (NodeId src : sources)
+      for (const graph::Path& path : routing.paths(src, dst))
+        for (std::size_t i = 0; i < path.links.size(); ++i)
+          fib.add_route(path.nodes[i], dst, path.links[i]);
+  };
+  compile_by_destination(routing, pairs, from_dag, from_paths);
   return fib;
 }
 
@@ -149,12 +161,9 @@ FibVerification verify_fib(const topo::Topology& topo, const Fib& fib,
                            const std::vector<std::pair<NodeId, NodeId>>& pairs,
                            std::uint32_t hop_limit) {
   FibVerification result;
-  // Group sources by destination so memoization is shared.
-  std::unordered_map<NodeId, std::vector<NodeId>> by_dst;
-  for (auto [src, dst] : pairs)
-    if (src != dst) by_dst[dst].push_back(src);
-
-  for (const auto& [dst, sources] : by_dst) {
+  // Group sources by destination so memoization is shared; ascending
+  // destinations make the reported violation independent of hashing.
+  for (const auto& [dst, sources] : sources_by_destination(pairs)) {
     DestinationChecker checker(topo, fib, dst, hop_limit);
     for (NodeId src : sources) {
       std::string err = checker.check(src, result.max_walk_hops);

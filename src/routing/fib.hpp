@@ -6,7 +6,8 @@
 //
 // A Fib maps, at every switch, a destination switch to the set of next-hop
 // links a packet may take. compile_fib() builds the table from a routing
-// scheme's path sets; verify_fib() model-checks it: every (src, dst) pair
+// scheme's path sets (for ECMP, from one shortest-path DAG per destination,
+// with the same result); verify_fib() model-checks it: every (src, dst) pair
 // reaches the destination over every greedy walk, without loops, within a
 // hop bound — the property an operator would want before installing rules.
 
@@ -51,18 +52,32 @@ class Fib {
 };
 
 /// Compiles a FIB for every ordered pair in `pairs` (use
-/// all_server_pairs() for the usual case). Paths come from `routing`
-/// (ECMP or KSP path sets); every link of every candidate path is
-/// installed hop by hop. Note that hop-by-hop installation of *non-
-/// shortest* path sets (KSP) can mix hops of different paths into loops —
-/// verify_fib() detects this; production KSP routing pins paths end to
-/// end instead (tunnels), which per-flow select() emulates.
+/// all_server_pairs() for the usual case): every link of every candidate
+/// path of `routing` toward a destination is installed hop by hop, each
+/// entry's hops in order of first appearance. Note that hop-by-hop
+/// installation of *non-shortest* path sets (KSP) can mix hops of
+/// different paths into loops — verify_fib() detects this; production KSP
+/// routing pins paths end to end instead (tunnels), which per-flow
+/// select() emulates.
+///
+/// With an EcmpRouting, each destination is compiled from one
+/// ShortestPathDag (routing/ecmp.hpp) instead of enumerating every pair's
+/// paths, and the table is the same entry by entry: a switch u gets an
+/// entry iff some source's shortest path crosses it; the first such source
+/// installs every DAG next hop of u, and since its paths come sorted by
+/// node sequence they arrive in ascending neighbour order. Destinations
+/// where that argument fails — a source with more than max_paths() paths,
+/// or parallel DAG links at an entry switch — fall back to enumeration
+/// (see compile_by_destination for the counters). Throws
+/// std::runtime_error on a disconnected pair either way.
 Fib compile_fib(const topo::Topology& topo, Routing& routing,
                 const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
 /// All ordered pairs of switches that host at least one server.
 std::vector<std::pair<NodeId, NodeId>> all_server_pairs(const topo::Topology& topo);
 
+/// Outcome of verify_fib(): whether every checked pair delivers, and the
+/// first violation otherwise.
 struct FibVerification {
   bool ok = false;
   std::size_t pairs_checked = 0;
@@ -73,6 +88,8 @@ struct FibVerification {
 /// Model-checks the FIB for the given pairs: from src, every choice of
 /// installed next hop must make progress to dst within `hop_limit` hops
 /// and never revisit a switch on the walk (exhaustive DFS over choices).
+/// Destinations are checked in ascending order, sources in pair order, so
+/// the reported violation is a pure function of the inputs.
 FibVerification verify_fib(const topo::Topology& topo, const Fib& fib,
                            const std::vector<std::pair<NodeId, NodeId>>& pairs,
                            std::uint32_t hop_limit = 32);

@@ -8,6 +8,10 @@
 
 namespace flattree::routing {
 
+/// k-shortest-paths routing: a pair's candidates are Yen's `k` shortest
+/// loopless hop-count paths (graph::yen_ksp_hops), cached per pair, and
+/// select() hashes a flow onto one. Forwarding-table compilers always take
+/// the per-pair enumeration route for it (routing::compile_by_destination).
 class KspRouting : public Routing {
  public:
   explicit KspRouting(const graph::Graph& g, std::size_t k = 8, std::uint64_t salt = 0);

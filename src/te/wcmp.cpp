@@ -4,11 +4,9 @@
 #include <cstddef>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
+#include "routing/ecmp.hpp"
 
 namespace flattree::te {
 
@@ -111,27 +109,51 @@ WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& rou
                                const std::vector<std::pair<NodeId, NodeId>>& pairs,
                                const WcmpOptions& options) {
   WeightedFib fib(topo.switch_count(), options.weight_budget);
-  // Multiplicity tally: (at, dst) -> link -> count. Ordered maps keep the
+  std::vector<graph::Arc> hops;
+  std::vector<graph::LinkId> ids;
+  std::vector<double> shares;
+  // A hop u->v carries above(u) * below(v) of the destination's paths:
+  // the same integer the path-by-path tally below sums one 1.0 at a time
+  // (exact, far below 2^53). above(u) is common to the entry, so only the
+  // shares' values, not their ratios, depend on it; keeping the product
+  // keeps them bit-identical to the tally. Links ascend, as the tally's
+  // map keys do.
+  auto from_dag = [&](const routing::ShortestPathDag& dag) {
+    for (NodeId u : dag.entries()) {
+      auto arcs = dag.next_arcs(u);
+      hops.assign(arcs.begin(), arcs.end());
+      std::sort(hops.begin(), hops.end(),
+                [](const graph::Arc& a, const graph::Arc& b) { return a.link < b.link; });
+      ids.clear();
+      shares.clear();
+      for (const graph::Arc& arc : hops) {
+        ids.push_back(arc.link);
+        shares.push_back(
+            static_cast<double>(dag.paths_above(u) * dag.paths_below(arc.to)));
+      }
+      install_entry(fib, u, dag.destination(), ids, shares, options.weight_budget);
+    }
+  };
+  // Multiplicity tally: at -> link -> count. Ordered maps keep the
   // installation order (and thus select()'s weight-line layout) a pure
   // function of the pair set, independent of hash-map iteration order.
-  std::map<std::pair<NodeId, NodeId>, std::map<graph::LinkId, double>> tally;
-  for (auto [src, dst] : pairs) {
-    if (src == dst) continue;
-    for (const graph::Path& path : routing.paths(src, dst))
-      for (std::size_t i = 0; i < path.links.size(); ++i)
-        tally[{path.nodes[i], dst}][path.links[i]] += 1.0;
-  }
-  for (const auto& [key, links] : tally) {
-    std::vector<graph::LinkId> ids;
-    std::vector<double> shares;
-    ids.reserve(links.size());
-    shares.reserve(links.size());
-    for (const auto& [link, count] : links) {
-      ids.push_back(link);
-      shares.push_back(count);
+  auto from_paths = [&](NodeId dst, const std::vector<NodeId>& sources) {
+    std::map<NodeId, std::map<graph::LinkId, double>> tally;
+    for (NodeId src : sources)
+      for (const graph::Path& path : routing.paths(src, dst))
+        for (std::size_t i = 0; i < path.links.size(); ++i)
+          tally[path.nodes[i]][path.links[i]] += 1.0;
+    for (const auto& [at, links] : tally) {
+      ids.clear();
+      shares.clear();
+      for (const auto& [link, count] : links) {
+        ids.push_back(link);
+        shares.push_back(count);
+      }
+      install_entry(fib, at, dst, ids, shares, options.weight_budget);
     }
-    install_entry(fib, key.first, key.second, ids, shares, options.weight_budget);
-  }
+  };
+  routing::compile_by_destination(routing, pairs, from_dag, from_paths);
   count_table(fib);
   return fib;
 }
@@ -145,52 +167,25 @@ WeightedFib compile_wcmp_mcf(const topo::Topology& topo,
     throw std::invalid_argument("compile_wcmp_mcf: arc_flow size mismatch");
   WeightedFib fib(topo.switch_count(), options.weight_budget);
 
-  // Group sources by destination: entries are per (switch, dst), so the
-  // shortest-path DAG and its reachable closure are shared per dst.
-  std::map<NodeId, std::vector<NodeId>> by_dst;
-  for (auto [src, dst] : pairs)
-    if (src != dst) by_dst[dst].push_back(src);
-
-  for (const auto& [dst, sources] : by_dst) {
-    std::vector<std::uint32_t> dist = graph::bfs_distances(g, dst);
-    // Forward closure from the sources along distance-decreasing arcs:
-    // exactly the switches a greedy walk can visit.
-    std::vector<char> relevant(g.node_count(), 0);
-    std::vector<NodeId> stack;
-    for (NodeId src : sources) {
-      if (dist[src] == graph::kUnreachable || relevant[src]) continue;
-      relevant[src] = 1;
-      stack.push_back(src);
-    }
-    std::vector<NodeId> order;
-    while (!stack.empty()) {
-      NodeId u = stack.back();
-      stack.pop_back();
-      if (u == dst) continue;
-      order.push_back(u);
-      for (const graph::Arc& arc : g.neighbors(u)) {
-        if (dist[arc.to] + 1 != dist[u]) continue;
-        if (!relevant[arc.to]) {
-          relevant[arc.to] = 1;
-          stack.push_back(arc.to);
-        }
-      }
-    }
-    // Deterministic entry order regardless of DFS discovery order.
-    std::sort(order.begin(), order.end());
-    for (NodeId u : order) {
-      std::vector<graph::LinkId> ids;
-      std::vector<double> shares;
+  // Entries are per (switch, dst), so one DAG per destination serves all
+  // its sources. Its entries are exactly the switches a greedy walk from
+  // a (reachable) source can visit; unreachable sources are skipped.
+  routing::ShortestPathDag dag(g);
+  std::vector<graph::LinkId> ids;
+  std::vector<double> shares;
+  for (const auto& [dst, sources] : routing::sources_by_destination(pairs)) {
+    dag.build(dst, sources);
+    for (NodeId u : dag.entries()) {
+      ids.clear();
+      shares.clear();
       double flow_total = 0.0;
-      for (const graph::Arc& arc : g.neighbors(u)) {
-        if (dist[arc.to] + 1 != dist[u]) continue;
+      for (const graph::Arc& arc : dag.next_arcs(u)) {
         const graph::Link& l = g.link(arc.link);
-        double flow = arc_flow[2 * arc.link + (l.a == u ? 0 : 1)];
+        double flow = std::max(arc_flow[2 * arc.link + (l.a == u ? 0 : 1)], 0.0);
         ids.push_back(arc.link);
-        shares.push_back(std::max(flow, 0.0));
-        flow_total += std::max(flow, 0.0);
+        shares.push_back(flow);
+        flow_total += flow;
       }
-      if (ids.empty()) continue;  // cannot happen for finite dist > 0
       // A solver may route nothing through this switch toward dst (it only
       // carries other commodities); fall back to the even ECMP split.
       if (!(flow_total > 0.0)) std::fill(shares.begin(), shares.end(), 1.0);

@@ -8,16 +8,23 @@
 //   * Path multiplicities (compile_wcmp_paths): every candidate path of a
 //     routing scheme (ECMP's equal-cost set, or Yen's k shortest paths)
 //     contributes one count to each (switch, dst, link) hop it crosses;
-//     the per-entry counts are the share vector. With ECMP this weights a
-//     next hop by the number of shortest paths through it — the classic
-//     WCMP derivation; with KSP the same hop-by-hop caveat as
-//     routing::compile_fib applies (verify_weighted_fib detects loops).
+//     the per-entry counts, links ascending, are the share vector. With
+//     ECMP this weights a next hop by the number of shortest paths through
+//     it — the classic WCMP derivation — and needs no path objects: on the
+//     routing::ShortestPathDag toward dst, hop u->v carries
+//     paths_above(u) * paths_below(v) paths, the same integer the path
+//     tally reaches one count at a time (exact in a double below 2^53).
+//     Destinations where the DAG does not reproduce the enumeration (see
+//     routing::compile_by_destination) are tallied path by path. With KSP
+//     the same hop-by-hop caveat as routing::compile_fib applies
+//     (verify_weighted_fib detects loops).
 //   * MCF arc flows (compile_wcmp_mcf): shares come from a
 //     max-concurrent-flow solution's arc_flow vector (mcf::McfResult
 //     convention: arc 2l = link l a->b, arc 2l+1 = b->a) restricted to the
-//     shortest-path DAG toward each destination, so the solver's split of
-//     load over equal-cost hops programs the FIB. Entries whose candidate
-//     arcs carry no flow fall back to an even split.
+//     shortest-path DAG toward each destination (a ShortestPathDag, hops in
+//     adjacency order), so the solver's split of load over equal-cost hops
+//     programs the FIB. Entries whose candidate arcs carry no flow fall
+//     back to an even split.
 //
 // Quantization (quantize_weights) uses largest-remainder rounding: floor
 // shares scaled to the budget, then hand out the remaining units by
@@ -56,9 +63,13 @@ std::vector<std::uint32_t> quantize_weights(const std::vector<double>& shares,
                                             std::uint32_t budget);
 
 /// Compiles a weighted FIB from a routing scheme's path sets for every
-/// ordered pair in `pairs`: per-hop weights are path multiplicities,
-/// quantized per (switch, dst) entry. Counters: te.wcmp.compiles,
-/// te.wcmp.entries, te.wcmp.rules, te.wcmp.weight_total.
+/// ordered pair in `pairs` (a duplicated pair counts twice): per-hop
+/// weights are path multiplicities, quantized per (switch, dst) entry.
+/// With an EcmpRouting the multiplicities come from one shortest-path DAG
+/// per destination (see the header comment). Throws std::runtime_error on
+/// a disconnected pair. Counters: te.wcmp.compiles, te.wcmp.entries,
+/// te.wcmp.rules, te.wcmp.weight_total, and per destination
+/// routing.fib.dag_destinations or routing.fib.enumerated_destinations.
 WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& routing,
                                const std::vector<std::pair<NodeId, NodeId>>& pairs,
                                const WcmpOptions& options = {});
@@ -67,7 +78,8 @@ WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& rou
 /// destination in `pairs`, weighting candidate hops by `arc_flow` (GK arc
 /// convention, see header comment; size must be 2 * link_count). Only
 /// switches reachable from some source of the pair set along the DAG get
-/// entries. Same counters as compile_wcmp_paths.
+/// entries; sources that cannot reach their destination are skipped.
+/// Counters: the te.wcmp.* set of compile_wcmp_paths.
 WeightedFib compile_wcmp_mcf(const topo::Topology& topo,
                              const std::vector<std::pair<NodeId, NodeId>>& pairs,
                              const std::vector<double>& arc_flow,

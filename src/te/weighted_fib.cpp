@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "routing/ecmp.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::te {
@@ -175,12 +176,9 @@ WeightedFibVerification verify_weighted_fib(
     const topo::Topology& topo, const WeightedFib& fib,
     const std::vector<std::pair<NodeId, NodeId>>& pairs, std::uint32_t hop_limit) {
   WeightedFibVerification result;
-  // Group sources by destination so memoization is shared.
-  std::unordered_map<NodeId, std::vector<NodeId>> by_dst;
-  for (auto [src, dst] : pairs)
-    if (src != dst) by_dst[dst].push_back(src);
-
-  for (const auto& [dst, sources] : by_dst) {
+  // Group sources by destination so memoization is shared; ascending
+  // destinations make the reported violation independent of hashing.
+  for (const auto& [dst, sources] : routing::sources_by_destination(pairs)) {
     WeightedDestinationChecker checker(topo, fib, dst, hop_limit);
     for (NodeId src : sources) {
       std::string err = checker.check(src, result.max_walk_hops);

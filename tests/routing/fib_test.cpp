@@ -120,6 +120,23 @@ TEST(VerifyFib, DetectsBlackhole) {
   EXPECT_NE(v.error.find("blackhole"), std::string::npos);
 }
 
+TEST(VerifyFib, ReportsLowestBrokenDestinationFirst) {
+  // Two destinations blackholed at switch 0; the pair list names the
+  // lower one first, so grouping in hash order would tend to report the
+  // higher one. Destinations are checked in ascending order.
+  topo::Topology t;
+  for (int i = 0; i < 4; ++i) t.add_switch(topo::SwitchKind::Edge, 0, i, 4);
+  for (graph::NodeId i = 0; i + 1 < 4; ++i) t.add_link(i, i + 1, topo::LinkOrigin::Random);
+  Fib fib(4);
+  for (auto pairs : {std::vector<std::pair<NodeId, NodeId>>{{0, 2}, {0, 3}},
+                     std::vector<std::pair<NodeId, NodeId>>{{0, 3}, {0, 2}}}) {
+    FibVerification v = verify_fib(t, fib, pairs);
+    EXPECT_FALSE(v.ok);
+    EXPECT_NE(v.error.find("toward 2"), std::string::npos) << v.error;
+    EXPECT_EQ(v.pairs_checked, 1u);
+  }
+}
+
 TEST(VerifyFib, HopLimitEnforced) {
   topo::Topology t = line3();
   EcmpRouting routing(t.graph());
