@@ -8,12 +8,10 @@
 // reroute; flat-tree additionally re-homes servers by flipping converters.
 
 #include <cstdio>
-#include <memory>
 
 #include "common.hpp"
 #include "core/recovery.hpp"
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
+#include "inc/mcf_warm.hpp"
 #include "topo/apl.hpp"
 
 using namespace flattree;
@@ -29,21 +27,18 @@ int main(int argc, char** argv) {
   cli.add_int("seeds", &seeds, "failure draws to average");
   cli.add_int("seed", &seed, "base RNG seed");
   cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   core::FlatTreeNetwork net = bench::profiled_network(ku);
@@ -58,15 +53,11 @@ int main(int argc, char** argv) {
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
 
-  // Incremental sweep state: one BFS engine retargeted across the failure
-  // levels (degraded/recovered alternate, so consecutive graphs differ by a
-  // few switches' links) and one exact-only MCF warm cache (identical
-  // instances — e.g. the four fails=0 solves — resume bitwise). Cold mode
-  // leaves both null; stdout is byte-identical either way.
-  std::unique_ptr<inc::DynamicApsp> apsp;
-  std::unique_ptr<inc::McfWarmCache> warm;
-  if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
+  // One exact-only MCF warm cache across the sweep: identical instances
+  // (e.g. the four fails=0 solves) resume bitwise from the previous solve's
+  // terminal state, every other instance solves cold, so stdout is what a
+  // cold run prints.
+  inc::McfWarmCache warm(inc::McfWarmCacheOptions{.exact_only = true});
 
   struct ZoneResult {
     double lambda = 0.0;
@@ -95,28 +86,13 @@ int main(int argc, char** argv) {
                                : static_cast<double>(alive.size()) /
                                      static_cast<double>(demands.size());
     // APL among surviving servers (the stranded ones sit on isolated dead
-    // switches). Incremental mode repairs the cached BFS trees from the
-    // graph delta; the result is bitwise equal to the cold computation.
+    // switches).
     std::vector<topo::ServerId> alive_servers;
     for (topo::ServerId sv = 0; sv < d.topo.server_count(); ++sv)
       if (!stranded[sv]) alive_servers.push_back(sv);
-    if (bench::incremental_enabled()) {
-      if (apsp == nullptr) {
-        // A failed core switch invalidates many trees at once, so allow
-        // deep repairs before falling back to full BFS (repairs are exact
-        // at any threshold; this only trades repair work against rebuilds).
-        inc::DynamicApspOptions aopt;
-        aopt.churn_threshold = 0.75;
-        apsp = std::make_unique<inc::DynamicApsp>(d.topo.graph(), aopt);
-      } else {
-        apsp->retarget(d.topo.graph());
-      }
-      r.apl = inc::server_apl_subset(*apsp, d.topo, alive_servers).average;
-    } else {
-      r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
-    }
+    r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
     try {
-      r.lambda = bench::throughput(d.topo, alive, eps, nullptr, warm.get());
+      r.lambda = bench::throughput(d.topo, alive, eps, nullptr, &warm);
     } catch (const std::exception&) {
       r.lambda = 0.0;  // degraded network disconnected for some demand
     }

@@ -20,12 +20,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 
 #include "common.hpp"
 #include "core/zones.hpp"
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "topo/apl.hpp"
 
 using namespace flattree;
@@ -62,21 +59,18 @@ int main(int argc, char** argv) {
   cli.add_int("seed", &seed, "base RNG seed");
   cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
   cli.add_bool("full", &full, "paper-scale run: k = 30, 10% steps (slow)");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
   if (full) {
     k = 30;
     step_percent = 10;
@@ -114,16 +108,6 @@ int main(int argc, char** argv) {
     return v;
   };
 
-  // Incremental sweep state: consecutive proportions convert a few pods
-  // between modes, so the hybrid graphs differ by those pods' wiring — the
-  // BFS engine repairs across the conversion delta, and the exact-only MCF
-  // warm cache resumes any bitwise-repeated instance. Stdout stays
-  // byte-identical to cold mode.
-  std::unique_ptr<inc::DynamicApsp> apsp;
-  std::unique_ptr<inc::McfWarmCache> warm;
-  if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
-
   util::Table table({"global%", "hybrid apl", "global iso", "global dedicated",
                      "global iso ratio", "local iso", "local dedicated",
                      "local iso ratio", "joint factor"});
@@ -132,16 +116,7 @@ int main(int argc, char** argv) {
         core::ZonePartition::proportion(ku, static_cast<double>(pct) / 100.0);
     topo::Topology hybrid = net.build(zones.pod_modes);
     bench::check_topology(hybrid, "flat-tree(hybrid)");
-    double hybrid_apl;
-    if (bench::incremental_enabled()) {
-      if (apsp == nullptr)
-        apsp = std::make_unique<inc::DynamicApsp>(hybrid.graph());
-      else
-        apsp->retarget(hybrid.graph());
-      hybrid_apl = inc::server_apl(*apsp, hybrid).average;
-    } else {
-      hybrid_apl = topo::server_apl(hybrid).average;
-    }
+    const double hybrid_apl = topo::server_apl(hybrid).average;
     bench::check_parity(full_global, hybrid, "global vs hybrid build");
     auto g_servers = core::servers_in_pods(net, zones.pods_in(core::Mode::GlobalRandom));
     auto l_servers = core::servers_in_pods(net, zones.pods_in(core::Mode::LocalRandom));
@@ -177,7 +152,7 @@ int main(int argc, char** argv) {
         d.demand *= l_ref;
         scaled.push_back(d);
       }
-      joint += bench::throughput(hybrid, scaled, eps, nullptr, warm.get());
+      joint += bench::throughput(hybrid, scaled, eps);
     }
     g_iso /= static_cast<double>(seeds);
     l_iso /= static_cast<double>(seeds);

@@ -160,34 +160,6 @@ class ObsScope {
   obs::RunSession session_;  ///< writes manifest + trace on destruction
 };
 
-// -- incremental sweeps (--incremental) -------------------------------------
-//
-// With --incremental the sweep-style benches reuse work between
-// consecutive sweep points through src/inc: cached BFS trees are repaired
-// instead of recomputed (inc::DynamicApsp) and identical MCF instances
-// resume from their terminal solver state (inc::McfWarmCache, exact-only
-// tier). Stdout is byte-identical to cold mode at any thread count — the
-// incremental paths are bitwise-equivalent by construction and every
-// warm-started solver result is re-certified through src/check. The
-// savings show up in a --metrics-json manifest: graph.bfs.nodes_visited
-// drops (repairs bill inc.apl.repair_visits instead) and
-// inc.mcf.warm_phases_saved counts GK phases inherited instead of re-run.
-
-/// Process-wide switch; set from the --incremental flag.
-inline bool& incremental_enabled() {
-  static bool on = false;
-  return on;
-}
-
-/// Registers the shared `--incremental` flag (sweep benches grow one).
-inline void add_incremental_flag(util::CliParser& cli, bool* flag) {
-  cli.add_bool("incremental", flag,
-               "reuse work across sweep points (delta-repaired BFS caches, "
-               "warm-started MCF); output is byte-identical to cold mode");
-}
-
-inline void apply_incremental(bool on) { incremental_enabled() = on; }
-
 /// Registers the shared `--threads` flag (every bench grows one). 0 means
 /// the exec default: FLATTREE_THREADS env var, else hardware concurrency.
 inline void add_threads_flag(util::CliParser& cli, std::int64_t* threads) {
@@ -214,7 +186,7 @@ inline double throughput(const topo::Topology& topo,
   // Certification needs the dual bound for the bracket check, so selfcheck
   // forces the upper bound on even when the caller does not want it.
   opt.compute_upper_bound = upper != nullptr || selfcheck_enabled();
-  // The warm cache (exact-only in benches) resumes identical instances
+  // A warm cache (exact-only in benches) resumes identical instances
   // bitwise and re-certifies internally; different instances solve cold.
   auto r = warm != nullptr ? warm->solve(topo.graph(), commodities, opt)
                            : mcf::max_concurrent_flow(topo.graph(), commodities, opt);

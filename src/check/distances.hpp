@@ -1,12 +1,12 @@
 #pragma once
 // Certificate for single-source hop-distance arrays.
 //
-// The incremental engine (src/inc) repairs BFS distance trees in place
-// instead of recomputing them; this validator proves a distance array
+// The bit-parallel batched BFS (graph::MultiSourceBfs) computes distance
+// rows 64 sources at a time; this validator proves a distance array
 // correct against the *current* graph without trusting how it was
 // produced. The three local conditions below are jointly sound AND
-// complete for unit-weight distances, so a patched array passes iff it is
-// bitwise what a cold BFS from the same source would compute:
+// complete for unit-weight distances, so an array passes iff it is
+// bitwise what a scalar BFS from the same source would compute:
 //
 //   1. anchor     — dist[source] == 0 and no other node has distance 0.
 //   2. step       — across every live link, |dist[a] - dist[b]| <= 1,
@@ -27,9 +27,9 @@
 // reached and an unreached node, so the reached set is exactly the
 // source's component.
 //
-// Cost: O(V + E) per source. Used by the inc equivalence tests and by the
-// engine's verify mode; reports through check::Report like every other
-// validator ("dist.*" codes).
+// Cost: O(V + E) per source. Used by the batched-BFS tests and by the
+// benches' --selfcheck audit of sampled batched rows; reports through
+// check::Report like every other validator ("dist.*" codes).
 
 #include <cstdint>
 #include <vector>

@@ -14,7 +14,7 @@
 // cooling^i, where scale is the best uniform objective (temperatures are
 // declared as fractions of the objective, not absolute throughputs).
 //
-// Scoring during the walk uses the warm incremental Evaluator; the three
+// Scoring during the walk uses the warm-MCF Evaluator; the three
 // uniform baselines and the final winner are scored cold and certified
 // (check::validate + check::certify) — the reported numbers never depend
 // on warm-path state.

@@ -1,5 +1,5 @@
 #pragma once
-// Degraded topology under a FaultState — cold and incremental forms.
+// Degraded topology under a FaultState — one-shot and in-place forms.
 //
 // degrade() is the one-shot form: a fresh Topology with every link that
 // touches a down switch or rides a down pair left out (failed switches
@@ -7,11 +7,11 @@
 // convention). Use it wherever a tombstone-free graph is required — the
 // MCF solver rejects edited graphs outright.
 //
-// FaultedGraph is the incremental form: it owns a graph::Graph mirroring a
+// FaultedGraph is the in-place form: it owns a graph::Graph mirroring a
 // fixed logical topology and reacts to each fault event by tombstoning /
-// restoring exactly the affected link slots through the graph's edit
-// journal, so inc::DynamicApsp::retarget sees a handful-of-links delta
-// instead of a rebuild. Per-link "down reason" counts (endpoint a down,
+// restoring exactly the affected link slots (Graph::remove_link /
+// restore_link), so the graph's CSR is patched by a handful-of-links delta
+// instead of rebuilt. Per-link "down reason" counts (endpoint a down,
 // endpoint b down, pair down — each counted independently) make
 // overlapping failures unwind exactly: a link is live iff its reason count
 // is zero, and a fully unwound trace restores every slot.

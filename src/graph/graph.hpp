@@ -7,16 +7,17 @@
 // each link as a pair of opposing arcs with the full link capacity each
 // (full-duplex), which is the standard model in DCN throughput studies.
 //
-// Edit journal (src/inc support): links can be removed, restored, and
-// recapacitated *in place* — link ids are never renumbered, removed links
-// stay as tombstoned slots in `links()`. The CSR adjacency is maintained
-// incrementally: small remove/restore deltas patch the existing index in
-// O(delta * degree) instead of the O(V + E) full rebuild. Graphs built by
-// the topology layer never remove links; tombstones only ever appear on
-// graphs owned by the incremental engine (src/inc), whose consumers all go
-// through neighbors() (which skips dead links). Code that iterates
-// `links()` directly must either know the graph has no tombstones (every
-// materialized Topology) or check `link_live()` per slot.
+// In-place edits: links can be removed, restored, and recapacitated *in
+// place* — link ids are never renumbered, removed links stay as tombstoned
+// slots in `links()`. The CSR adjacency follows liveness flips without a
+// rebuild: each remove/restore queues a pending patch, and the next
+// adjacency access applies small queues in O(delta * degree) instead of
+// the O(V + E) full rebuild. Graphs built by the topology layer never
+// remove links; tombstones only appear on edited graphs (fault::FaultedGraph,
+// test fixtures), whose consumers all go through neighbors() (which skips
+// dead links). Code that iterates `links()` directly must either know the
+// graph has no tombstones (every materialized Topology) or check
+// `link_live()` per slot.
 
 #include <atomic>
 #include <cstdint>
@@ -52,19 +53,6 @@ struct Link {
 struct Arc {
   NodeId to = kInvalidNode;      ///< neighbor node
   LinkId link = kInvalidLink;    ///< link carrying this half-edge
-};
-
-/// One recorded mutation of a Graph's link set (see Graph::journal()).
-struct GraphEdit {
-  /// What happened to the link slot.
-  enum class Kind : std::uint8_t {
-    Add,          ///< fresh slot appended by add_link
-    Remove,       ///< live slot tombstoned by remove_link
-    Restore,      ///< tombstoned slot revived by restore_link
-    SetCapacity,  ///< capacity changed in place by set_capacity
-  };
-  Kind kind = Kind::Add;  ///< mutation type
-  LinkId link = kInvalidLink;  ///< affected link slot
 };
 
 /// Undirected multigraph with lazily built, incrementally patched CSR
@@ -135,18 +123,6 @@ class Graph {
   /// when the graph may have been edited (see the header comment).
   const std::vector<Link>& links() const { return links_; }
 
-  /// Monotonic count of mutations applied so far (adds, removes, restores,
-  /// capacity changes). Incremental consumers use it to detect drift
-  /// between a Graph and state derived from it.
-  std::uint64_t edit_epoch() const { return edit_epoch_; }
-
-  /// The journal of every mutation since construction (or since the last
-  /// clear_journal()), in application order. Copies/moves do not transfer
-  /// the journal.
-  const std::vector<GraphEdit>& journal() const { return journal_; }
-  /// Drops the recorded journal (the graph itself is untouched).
-  void clear_journal() { journal_.clear(); }
-
   /// Number of live link endpoints at `node` (counts parallel links).
   std::size_t degree(NodeId node) const;
 
@@ -169,8 +145,8 @@ class Graph {
  private:
   void build_csr() const;
   bool patch_csr() const;
-  void note_structural_edit(GraphEdit::Kind kind, LinkId id);
-  void note_liveness_edit(GraphEdit::Kind kind, LinkId id);
+  void note_structural_edit();
+  void note_liveness_edit(LinkId id, bool now_live);
 
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -178,8 +154,6 @@ class Graph {
   // edited case pays no memory or branch cost beyond an empty() check).
   std::vector<char> live_;
   std::size_t live_link_count_ = 0;
-  std::uint64_t edit_epoch_ = 0;
-  std::vector<GraphEdit> journal_;
 
   // Lazily built CSR adjacency. csr_valid_ is the double-checked guard:
   // readers acquire-load it; the builder publishes the vectors with a

@@ -4,6 +4,7 @@
 #include <queue>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "graph/bfs.hpp"
 #include "graph/dijkstra.hpp"
@@ -194,8 +195,11 @@ std::vector<Path> all_shortest_paths(const Graph& g, NodeId source, NodeId targe
       if (!link_stack.empty()) link_stack.pop_back();
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const Path& a, const Path& b) { return a.nodes < b.nodes; });
+  // Ties on the node sequence (parallel links) break by link ids, so the
+  // order is total and independent of the CSR's adjacency order.
+  std::sort(out.begin(), out.end(), [](const Path& a, const Path& b) {
+    return std::tie(a.nodes, a.links) < std::tie(b.nodes, b.links);
+  });
   return out;
 }
 

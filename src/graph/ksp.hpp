@@ -29,7 +29,9 @@ std::vector<Path> yen_ksp(const Graph& g, NodeId source, NodeId target, std::siz
 std::vector<Path> yen_ksp_hops(const Graph& g, NodeId source, NodeId target, std::size_t k);
 
 /// All distinct shortest (minimum-hop) paths between source and target,
-/// capped at `max_paths`. This enumerates ECMP path sets on Clos fabrics.
+/// capped at `max_paths`, sorted by (nodes, links) — paths that differ
+/// only in a parallel link come in ascending link-id order. This
+/// enumerates ECMP path sets on Clos fabrics.
 std::vector<Path> all_shortest_paths(const Graph& g, NodeId source, NodeId target,
                                      std::size_t max_paths);
 

@@ -1,27 +1,17 @@
 #pragma once
-// Umbrella header for the incremental-analytics engine.
+// Umbrella header for src/inc: warm-started max-concurrent-flow solves.
 //
-// src/inc makes sweeps delta-aware instead of cold-start: consecutive
-// sweep points (failure levels, (m,n) profiles, conversion steps) differ
-// by a handful of links, so the engine edits a working graph in place
-// (inc/delta.hpp), repairs cached BFS distance trees instead of re-running
-// them (inc/dynamic_bfs.hpp), accumulates APL from the repaired caches
-// with bitwise-identical arithmetic (inc/apl.hpp), and warm-starts
-// Garg-Koenemann solves from the previous point's terminal state
-// (inc/mcf_warm.hpp). Benches expose it behind --incremental (default
-// off), with stdout byte-identical to cold mode; the win shows up in the
-// inc.* / graph.bfs.* counters of a --metrics-json manifest.
+// Consecutive points of a sweep (failure levels, design candidates) often
+// re-solve the same or a slightly edited MCF instance. inc::McfWarmCache
+// resumes Garg-Koenemann from the previous solve's terminal state instead
+// of starting cold, and re-certifies every warm result through
+// check::certify. APL needs no warm path: the batched bit-parallel BFS
+// (graph::weighted_apl*, via topo::server_apl*) is cheaper cold.
 //
-// Invalidation rules and the exactness argument: docs/incremental.md and
-// DESIGN.md §8. Equivalence tests: tests/inc (ctest -L inc).
+// Warm tiers and the exactness argument: docs/incremental.md and
+// DESIGN.md §8. Tests: tests/inc (ctest -L inc).
 //
-// Entry points:
-//   inc::DynamicApsp           — cached, repairable per-source BFS trees
-//   inc::weighted_apl / server_apl / server_apl_subset
+// Entry point:
 //   inc::McfWarmCache          — warm-started max_concurrent_flow
-//   inc::diff_graphs / apply_delta
 
-#include "inc/apl.hpp"
-#include "inc/delta.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "inc/mcf_warm.hpp"

@@ -41,9 +41,9 @@ struct McfWarmCacheOptions {
   /// Restrict the cache to the ExactResume tier. Exact resumes are bitwise
   /// identical to a cold solve; dual seeds are certified-correct but take a
   /// different phase trajectory, so their bounds differ in the low bits.
-  /// Benches that promise byte-identical stdout under --incremental
-  /// (bench_failures, bench_hybrid) run exact-only; sweeps that only need
-  /// certified bounds can keep dual seeding on.
+  /// Callers whose output must match a cold run byte for byte
+  /// (bench_failures) run exact-only; sweeps that only need certified
+  /// bounds (design::Evaluator) keep dual seeding on.
   bool exact_only = false;
 };
 

@@ -28,8 +28,8 @@ obs::Counter c_gk_warm_exact("mcf.gk.warm_exact_resumes");
 obs::Counter c_gk_warm_dual("mcf.gk.warm_dual_seeds");
 obs::Counter c_gk_unreachable("mcf.gk.unreachable_commodities");
 obs::Counter c_gk_budget_stops("mcf.gk.budget_stops");
-// Cross-filed under inc.*: the incremental-sweep win this counter measures
-// belongs to the inc subsystem's ledger even though the solver records it.
+// Cross-filed under inc.*: the warm-start win this counter measures belongs
+// to the inc subsystem's ledger even though the solver records it.
 obs::Counter c_warm_phases_saved("inc.mcf.warm_phases_saved");
 // Dual-bound trajectory: D(l) grows from ~0 to 1 across phases; the
 // histogram records its value at every phase end, so the bucket profile

@@ -92,7 +92,7 @@ void Service::fill_stats_payload(obs::JsonValue& payload) const {
       jint(static_cast<std::int64_t>(stats_.shed_deadline)));
 }
 
-Service::EvalResult Service::eval(const Request& req, bool sequential) {
+Service::EvalResult Service::eval(const Request& req) {
   OBS_SPAN("svc.eval");
   EvalResult r;
   obs::JsonValue payload = obs::JsonValue::make_object();
@@ -103,7 +103,7 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
     switch (req.op) {
       case Op::Hello:
         // Protocol constants only: anything that varies with run knobs that
-        // the byte-identity matrix toggles (--incremental, --threads, obs)
+        // the byte-identity matrix toggles (--threads, obs)
         // must stay out of the response stream.
         put(payload, "proto", jstr("flattree-svc.v1"));
         put(payload, "max_batch", jint(static_cast<std::int64_t>(opt_.max_batch)));
@@ -146,7 +146,6 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
         if (sessions_[req.session] == nullptr) {
           SessionOptions sopt;
           sopt.epsilon = opt_.epsilon;
-          sopt.incremental = opt_.incremental;
           sopt.slo = opt_.slo;
           sessions_[req.session] = std::make_unique<Session>(sopt);
         }
@@ -189,14 +188,9 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
                              "session has no plant; send a 'build' request first"};
           break;
         }
-        // Design builds every engine it needs locally per call, so it has
-        // no sequential/parallel split (batch layouts are trivially
-        // byte-identical).
-        r.ok = req.op == Op::Query
-                   ? s->exec_query(req, sequential, payload, r.tally, err)
-               : req.op == Op::WhatIf
-                   ? s->exec_what_if(req, sequential, payload, r.tally, err)
-                   : s->exec_design(req, payload, r.tally, err);
+        r.ok = req.op == Op::Query    ? s->exec_query(req, payload, r.tally, err)
+               : req.op == Op::WhatIf ? s->exec_what_if(req, payload, r.tally, err)
+                                      : s->exec_design(req, payload, r.tally, err);
         break;
       }
     }
@@ -261,13 +255,12 @@ void Service::flush(std::vector<PendingReq>& pending, std::ostream& out) {
 
   std::vector<EvalResult> results(pending.size());
   if (live.size() == 1) {
-    results[live[0]] = eval(pending[live[0]].req, /*sequential=*/true);
+    results[live[0]] = eval(pending[live[0]].req);
   } else if (live.size() > 1) {
-    // Read-only fan-out: every worker evaluates cold (bitwise-equal to the
-    // warm sequential path), responses land in per-index slots and are
-    // emitted in input order below.
+    // Read-only fan-out: responses land in per-index slots and are emitted
+    // in input order below.
     exec::parallel_for(live.size(), [&](std::size_t i) {
-      results[live[i]] = eval(pending[live[i]].req, /*sequential=*/false);
+      results[live[i]] = eval(pending[live[i]].req);
     });
   }
 
@@ -454,7 +447,7 @@ void Service::process_line(std::string line, std::ostream& out,
   } else {
     flush(pending, out);
     const std::uint64_t mseq = req.seq;
-    emit(out, req, eval(req, /*sequential=*/true));
+    emit(out, req, eval(req));
     commit_group(mseq);
   }
 }
@@ -533,15 +526,15 @@ void Service::run_journal_script(std::istream& in, std::ostream& out) {
     if (!parse_ok) return;
     stats_.lines = last_seq;
 
-    // Re-evaluate with the original batch layout: a lone record goes warm,
-    // a multi-record read-only group fans out cold — bitwise equal either
-    // way, and the re-journaled frames match the input byte for byte.
+    // Re-evaluate with the original batch layout: a lone record on this
+    // thread, a multi-record read-only group over the exec pool — the
+    // re-journaled frames match the input byte for byte.
     std::vector<EvalResult> results(g.entries.size());
     if (live.size() == 1) {
-      results[live[0]] = eval(reqs[live[0]], /*sequential=*/true);
+      results[live[0]] = eval(reqs[live[0]]);
     } else if (live.size() > 1) {
       exec::parallel_for(live.size(), [&](std::size_t i) {
-        results[live[i]] = eval(reqs[live[i]], /*sequential=*/false);
+        results[live[i]] = eval(reqs[live[i]]);
       });
     }
 
@@ -596,7 +589,7 @@ bool Service::replay_group_recover(const durable::JournalGroup& g,
     ++rs.records;
     ++stats_.journal_lines;
     if (session_mutating(req.op)) {
-      EvalResult r = eval(req, /*sequential=*/true);
+      EvalResult r = eval(req);
       if (!r.ok) {
         error = "svc.recover.replay_failed: journaled " +
                 std::string(to_string(req.op)) + " at seq " +
@@ -619,7 +612,7 @@ bool Service::replay_group_recover(const durable::JournalGroup& g,
       // re-evaluate (response discarded; tallies recovered) when not.
       ++ro_records;
       if (!g.tally_known) {
-        EvalResult r = eval(req, /*sequential=*/true);
+        EvalResult r = eval(req);
         if (!r.ok) {
           error = "svc.recover.replay_failed: journaled " +
                   std::string(to_string(req.op)) + " at seq " +
@@ -685,7 +678,7 @@ bool Service::recover(const durable::ServiceSnapshot* snap,
                   std::to_string(rec.seq) + " fails parse_request: " + rerr.code;
           return false;
         }
-        EvalResult r = eval(req, /*sequential=*/true);
+        EvalResult r = eval(req);
         if (!r.ok) {
           error = "svc.recover.replay_failed: snapshot " + rec.op +
                   " at seq " + std::to_string(rec.seq) +

@@ -12,18 +12,17 @@
 //
 //   * at any --threads count,
 //   * with observability on or off,
-//   * cold or --incremental,
 //   * when a journal is replayed as the input script,
 //   * and across a crash + recover() at any journal commit point.
 //
 // Batching: consecutive read-only requests (hello/query/what_if/design)
 // collect into a batch; any mutating op, any rejected line, a full batch
 // (max_batch), or EOF is a boundary. Boundaries are a pure function of the
-// input, never of timing. A batch with one live request evaluates
-// sequentially through the warm engines; a larger batch fans out over the
-// exec pool with every worker evaluating cold — the two paths are
-// bitwise-equal by construction (see session.hpp), so the batch layout
-// never shows in the output bytes. `batches`/`max_batch` count *accepted*
+// input, never of timing. A batch with one live request evaluates on the
+// calling thread (its solver may use the exec pool); a larger batch fans
+// out over the exec pool, one request per worker. Read-only evaluation
+// touches no session state (see session.hpp), so the batch layout never
+// shows in the output bytes. `batches`/`max_batch` count *accepted*
 // requests per read-only flush (a flush whose every request is rejected
 // counts no batch), which is what lets recovery reconstruct them from the
 // journal's committed groups.
@@ -88,7 +87,6 @@ struct ServiceStats {
 struct ServiceOptions {
   std::size_t max_batch = 8;   ///< read-only requests per batch (>= 1)
   double epsilon = 0.12;       ///< GK epsilon for throughput queries
-  bool incremental = false;    ///< warm engines on the sequential path
   bool selfcheck = false;      ///< controller + snapshot invariant batteries
   SloPolicy slo;
   std::ostream* journal = nullptr;  ///< v2 framed journal (null = off)
@@ -180,7 +178,7 @@ class Service {
     std::string gap_class;  ///< journal gap class (shed only)
   };
 
-  EvalResult eval(const Request& req, bool sequential);
+  EvalResult eval(const Request& req);
   void emit(std::ostream& out, const Request& req, EvalResult&& r);
   void flush(std::vector<PendingReq>& pending, std::ostream& out);
   /// Processes one raw input line (cap check, parse, admission, dispatch).

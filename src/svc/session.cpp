@@ -7,7 +7,6 @@
 
 #include "core/expansion.hpp"
 #include "design/design.hpp"
-#include "inc/apl.hpp"
 #include "topo/apl.hpp"
 #include "workload/cluster.hpp"
 #include "workload/traffic.hpp"
@@ -167,12 +166,10 @@ bool Session::exec_build(const Request& req, obs::JsonValue& payload, RequestErr
     }
   }
 
-  // Commit: replace the plant, drop the old traffic snapshot and engines.
+  // Commit: replace the plant, drop the old traffic snapshot.
   ctl_ = std::move(next);
   demands_.clear();
   total_demand_ = 0.0;
-  apsp_.reset();
-  warm_.reset();
 
   const topo::ClosParams& p = ctl_->network().params();
   put(payload, "pods", jint(p.pods()));
@@ -445,11 +442,9 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
     core::FlatTreeNetwork expanded = core::expand(ctl_->network(), plan);
     ctl_ = std::make_unique<fault::ResilientController>(std::move(expanded),
                                                         ctl_->options());
-    // Server ids changed: the old traffic snapshot and engines are void.
+    // Server ids changed: the old traffic snapshot is void.
     demands_.clear();
     total_demand_ = 0.0;
-    apsp_.reset();
-    warm_.reset();
   }
 
   put(payload, "pods_added", jint(plan.pods_added));
@@ -468,7 +463,7 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
 }
 
 void Session::metric_block(const Request& req, const fault::DegradeResult& d,
-                           bool sequential, obs::JsonValue& payload, EvalTally& tally) {
+                           obs::JsonValue& payload, EvalTally& tally) const {
   const topo::Topology& t = d.topo;
   std::vector<char> stranded(t.server_count(), 0);
   for (topo::ServerId s : d.stranded) stranded[s] = 1;
@@ -482,23 +477,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
   std::vector<topo::ServerId> subset = largest_alive_component(t, stranded);
   put(payload, "alive", jint(static_cast<std::int64_t>(subset.size())));
 
-  double apl = 0.0;
-  if (subset.size() >= 2) {
-    if (sequential && opt_.incremental) {
-      // Delta-repaired BFS trees; bitwise-equal to the cold path, so the
-      // parallel batch workers (always cold) emit the same bytes.
-      if (apsp_ == nullptr) {
-        inc::DynamicApspOptions aopt;
-        aopt.churn_threshold = 0.75;  // fault bursts touch many trees at once
-        apsp_ = std::make_unique<inc::DynamicApsp>(t.graph(), aopt);
-      } else {
-        apsp_->retarget(t.graph());
-      }
-      apl = inc::server_apl_subset(*apsp_, t, subset).average;
-    } else {
-      apl = topo::server_apl_subset(t, subset).average;
-    }
-  }
+  const double apl = subset.size() >= 2 ? topo::server_apl_subset(t, subset).average : 0.0;
   put(payload, "apl", jdouble(apl));
 
   bool want_lambda = true;
@@ -527,16 +506,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
     return;
   }
 
-  inc::McfWarmCache* warm = nullptr;
-  if (sequential && opt_.incremental) {
-    if (warm_ == nullptr) {
-      inc::McfWarmCacheOptions wopt;
-      wopt.exact_only = true;  // resumes must be bitwise-identical to cold
-      warm_ = std::make_unique<inc::McfWarmCache>(wopt);
-    }
-    warm = warm_.get();
-  }
-  SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget, warm);
+  SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget);
   tally.solves += 1;
   tally.truncated += s.result.truncated ? 1 : 0;
   tally.certified += s.certified ? 1 : 0;
@@ -549,15 +519,15 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
   put(payload, "budget", jint(static_cast<std::int64_t>(budget)));
 }
 
-bool Session::exec_query(const Request& req, bool sequential, obs::JsonValue& payload,
-                         EvalTally& tally, RequestError& err) {
+bool Session::exec_query(const Request& req, obs::JsonValue& payload, EvalTally& tally,
+                         RequestError& err) const {
   if (!require_built(err)) return false;
-  metric_block(req, ctl_->degraded(), sequential, payload, tally);
+  metric_block(req, ctl_->degraded(), payload, tally);
   return true;
 }
 
-bool Session::exec_what_if(const Request& req, bool sequential, obs::JsonValue& payload,
-                           EvalTally& tally, RequestError& err) {
+bool Session::exec_what_if(const Request& req, obs::JsonValue& payload, EvalTally& tally,
+                           RequestError& err) const {
   if (!require_built(err)) return false;
   std::vector<core::Mode> modes;
   if (!parse_target_modes(req, modes, err)) return false;
@@ -574,7 +544,7 @@ bool Session::exec_what_if(const Request& req, bool sequential, obs::JsonValue& 
   fault::DegradeResult d =
       fault::degrade(ctl_->network().materialize(cfgs), ctl_->fault_state());
   put(payload, "steps", jint(static_cast<std::int64_t>(steps)));
-  metric_block(req, d, sequential, payload, tally);
+  metric_block(req, d, payload, tally);
   return true;
 }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "inc/mcf_warm.hpp"
 #include "mcf/commodity.hpp"
 #include "mcf/garg_koenemann.hpp"
 
@@ -57,13 +56,9 @@ struct SloSolve {
 
 /// Budgeted, certified max concurrent flow: allow_unreachable (stranded
 /// endpoints are excised, served_fraction reports the remainder), dual
-/// upper bound on, at most `budget` augmentations. `warm` may be null;
-/// when given it must be an exact-only inc::McfWarmCache, whose resumes
-/// are bitwise identical to a cold solve — the service's cold-vs-warm
-/// byte-identity rests on that.
+/// upper bound on, at most `budget` augmentations.
 SloSolve solve_with_budget(const graph::Graph& g,
                            const std::vector<mcf::Commodity>& commodities,
-                           double epsilon, std::uint64_t budget,
-                           inc::McfWarmCache* warm);
+                           double epsilon, std::uint64_t budget);
 
 }  // namespace flattree::svc

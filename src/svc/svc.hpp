@@ -5,8 +5,7 @@
 //   protocol.hpp  flattree-svc.v1 request/response grammar and rendering
 //   slo.hpp       deadline_ms -> deterministic GK augmentation budgets,
 //                 certified truncated solves
-//   session.hpp   per-shard state: resilient controller, traffic snapshot,
-//                 warm engines (bitwise-equal to cold)
+//   session.hpp   per-shard state: resilient controller, traffic snapshot
 //   service.hpp   the JSON-lines loop: deterministic batching, journaling,
 //                 overload shedding, snapshots, recovery, stats
 //   durable/journal.hpp   CRC-framed journal v2 (records, gaps, commits)

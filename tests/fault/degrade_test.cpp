@@ -63,11 +63,11 @@ TEST(FaultedGraph, MidTraceConstructionMatchesEventPath) {
 
 // -- concurrency regression (run under the tsan preset, label `fault`) ------
 
-// The fault apply/unapply path mutates the shared graph through the edit
-// journal (remove_link/restore_link patch the lazily rebuilt CSR). Readers
-// that race on the first neighbors() call after an on_event mutation must
-// see the patched index — the same ConcurrentReadAfterMutateIsRaceFree
-// contract the inc suite pins for raw journal edits, here exercised
+// The fault apply/unapply path mutates the shared graph in place
+// (remove_link/restore_link patch the lazily rebuilt CSR). Readers that
+// race on the first neighbors() call after an on_event mutation must see
+// the patched index — the same ConcurrentReadAfterMutateIsRaceFree
+// contract the bitbfs suite pins for raw graph edits, here exercised
 // through FaultState + FaultedGraph. The mutation happens-before the
 // reader threads (thread creation).
 TEST(FaultedGraph, ConcurrentReadAfterMutateIsRaceFree) {
@@ -87,7 +87,7 @@ TEST(FaultedGraph, ConcurrentReadAfterMutateIsRaceFree) {
   const graph::Graph& g = fg.graph();
   for (const FaultEvent& e : sc.events) {
     if (!state.apply(e)) continue;
-    fg.on_event(state, e);  // tombstones/restores links in the journal
+    fg.on_event(state, e);  // tombstones/restores links in place
     auto reader = [&g]() {
       for (graph::NodeId s = 0; s < g.node_count(); s += 4) {
         auto dist = graph::bfs_distances(g, s);

@@ -76,7 +76,7 @@ TEST(FaultState, FailedSwitchesIsNormalized) {
   EXPECT_FALSE(f.contains(5));
 }
 
-// The journal-maintained FaultedGraph must agree with a cold degrade()
+// The in-place FaultedGraph must agree with a cold degrade()
 // rebuild at every instant of a trace, and a fully played trace restores
 // every tombstoned slot.
 TEST(FaultedGraph, TracksColdDegradeAcrossATrace) {

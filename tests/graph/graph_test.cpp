@@ -114,7 +114,7 @@ TEST(Graph, NeighborsOutOfRangeThrows) {
   EXPECT_THROW(g.neighbors(1), std::out_of_range);
 }
 
-// -- edit journal / tombstones / CSR patching -------------------------------
+// -- in-place edits / tombstones / CSR patching ----------------------------
 
 // Sorted (neighbor, link) multiset at `node`, for order-insensitive compares.
 std::vector<std::pair<NodeId, LinkId>> arcs_of(const Graph& g, NodeId node) {
@@ -181,42 +181,16 @@ TEST(GraphEdits, SetCapacityInPlace) {
   EXPECT_THROW(g.set_capacity(9, 1.0), std::out_of_range);
 }
 
-TEST(GraphEdits, JournalRecordsMutationsInOrder) {
-  Graph g(3);
-  LinkId l0 = g.add_link(0, 1);
-  LinkId l1 = g.add_link(1, 2);
-  g.remove_link(l0);
-  g.set_capacity(l1, 3.0);
-  g.restore_link(l0);
-  const auto& j = g.journal();
-  ASSERT_EQ(j.size(), 5u);
-  EXPECT_EQ(j[0].kind, GraphEdit::Kind::Add);
-  EXPECT_EQ(j[0].link, l0);
-  EXPECT_EQ(j[1].kind, GraphEdit::Kind::Add);
-  EXPECT_EQ(j[2].kind, GraphEdit::Kind::Remove);
-  EXPECT_EQ(j[2].link, l0);
-  EXPECT_EQ(j[3].kind, GraphEdit::Kind::SetCapacity);
-  EXPECT_EQ(j[3].link, l1);
-  EXPECT_EQ(j[4].kind, GraphEdit::Kind::Restore);
-  EXPECT_EQ(j[4].link, l0);
-  EXPECT_EQ(g.edit_epoch(), 5u);
-  g.clear_journal();
-  EXPECT_TRUE(g.journal().empty());
-  EXPECT_EQ(g.edit_epoch(), 5u);  // epoch is not reset by clear_journal
-}
-
-TEST(GraphEdits, CopyAndMoveDropJournalKeepLiveness) {
+TEST(GraphEdits, CopyAndMoveKeepLiveness) {
   Graph g(3);
   LinkId l0 = g.add_link(0, 1);
   g.add_link(1, 2);
   g.remove_link(l0);
   Graph c = g;
-  EXPECT_TRUE(c.journal().empty());
   EXPECT_EQ(c.live_link_count(), 1u);
   EXPECT_FALSE(c.link_live(l0));
   EXPECT_EQ(arcs_of(c, 1), arcs_of(g, 1));
   Graph m = std::move(c);
-  EXPECT_TRUE(m.journal().empty());
   EXPECT_EQ(m.live_link_count(), 1u);
   EXPECT_FALSE(m.link_live(l0));
 }

@@ -3,7 +3,9 @@
 // random (including disconnected) graphs, filtered traversals, APSP rows,
 // and the long-double APL reductions — at any thread count, with
 // deterministic operation counters. Negative controls prove the sampled
-// certification hook actually catches corrupted rows.
+// certification hook actually catches corrupted rows. Also carries the
+// ThreadSanitizer regression test for the lazy-CSR double-checked lock
+// after an in-place remove/restore (concurrent read-after-mutate).
 
 #include "graph/multi_bfs.hpp"
 
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "check/distances.hpp"
@@ -243,6 +246,46 @@ TEST(MultiBfs, AuditHookSamplesEveryBatch) {
   // 100 sources at batch width 64 -> 2 batches, each sampled once.
   EXPECT_EQ(calls.load(), 2);
   EXPECT_EQ(certified.load(), calls.load());
+}
+
+// -- concurrency regression (run under the tsan preset, label `bitbfs`) -----
+
+// The lazy-CSR double-checked lock must publish a *patched* index to
+// readers that race on the first neighbors() call after a remove/restore.
+// Before the fix, only add_link invalidated the guard; remove_link left
+// csr_valid_ stale so concurrent readers could see the dead link. The
+// mutation itself happens-before the reader threads (thread creation), per
+// the documented contract.
+TEST(LazyCsr, ConcurrentReadAfterMutateIsRaceFree) {
+  Graph g = random_graph(24, 60, 13);
+  g.ensure_csr();  // build once so the edit takes the patch path
+
+  util::Rng rng(13);
+  for (int round = 0; round < 8; ++round) {
+    LinkId flip = static_cast<LinkId>(rng.index(g.link_count()));
+    if (g.link_live(flip))
+      g.remove_link(flip);
+    else
+      g.restore_link(flip);
+    // Readers race each other on the lazily patched CSR (the mutation
+    // above is sequenced before both threads start).
+    auto reader = [&g]() {
+      for (NodeId s = 0; s < g.node_count(); s += 3) {
+        auto dist = bfs_distances(g, s);
+        ASSERT_EQ(dist.size(), g.node_count());
+      }
+    };
+    std::thread t1(reader), t2(reader), t3(reader);
+    t1.join();
+    t2.join();
+    t3.join();
+    // The patched view must match what a from-scratch rebuild sees.
+    Graph fresh(g.node_count());
+    for (LinkId id = 0; id < g.link_count(); ++id)
+      if (g.link_live(id)) fresh.add_link(g.link(id).a, g.link(id).b);
+    for (NodeId s = 0; s < g.node_count(); ++s)
+      ASSERT_EQ(bfs_distances(g, s), bfs_distances(fresh, s));
+  }
 }
 
 }  // namespace

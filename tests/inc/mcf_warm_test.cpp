@@ -1,7 +1,7 @@
 // MCF warm-start equivalence: exact resume must be bitwise identical to a
-// cold solve with every prior phase saved; dual seeds must keep both
-// certified bounds; tampered warm state (negative control) must be caught
-// by check::certify.
+// cold solve with every prior phase saved, also under an augmentation
+// budget; dual seeds must keep both certified bounds; tampered warm state
+// (negative control) must be caught by check::certify.
 
 #include "inc/mcf_warm.hpp"
 
@@ -208,6 +208,68 @@ TEST(McfWarm, MalformedWarmStateRejectedUpFront) {
   bad.length.assign(3, 1.0);  // wrong arity: must be 2 * link_count
   opt.warm_start = &bad;
   EXPECT_THROW(mcf::max_concurrent_flow(g, commodities, opt), std::invalid_argument);
+}
+
+// -- augmentation budgets (the svc SLO layer's solve options) ---------------
+
+/// The options svc::solve_with_budget passes: unreachable commodities
+/// excised, dual bound on, at most `budget` augmentations (0 = unlimited).
+mcf::McfOptions budget_options(std::uint64_t budget) {
+  mcf::McfOptions opt = test_options();
+  opt.allow_unreachable = true;
+  opt.compute_upper_bound = true;
+  opt.max_augmentations = budget;
+  return opt;
+}
+
+TEST(McfWarm, WarmResumeIsBitwiseIdenticalUnderBudget) {
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  McfWarmCache warm(McfWarmCacheOptions{/*exact_only=*/true});
+
+  // A budget generous enough to converge: the state exports converged and
+  // the identical instance resumes exactly.
+  const auto opt = budget_options(1000000);
+  mcf::McfResult cold = mcf::max_concurrent_flow(g, commodities, opt);
+  ASSERT_FALSE(cold.truncated);
+  warm.solve(g, commodities, opt);  // populate
+  mcf::McfResult resumed = warm.solve(g, commodities, opt);
+  EXPECT_EQ(warm.last_tier(), WarmTier::ExactResume);
+  EXPECT_TRUE(bits_equal(resumed.lambda_lower, cold.lambda_lower));
+  EXPECT_TRUE(bits_equal(resumed.lambda_upper, cold.lambda_upper));
+}
+
+TEST(McfWarm, TruncatedSolvesNeverResume) {
+  // A truncated run stops before D(l) >= 1, so its exported state is not
+  // converged and the next identical solve runs cold — warm caching can
+  // never make a budgeted answer diverge from the cold path.
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  McfWarmCache warm(McfWarmCacheOptions{/*exact_only=*/true});
+
+  const auto opt = budget_options(10);
+  mcf::McfResult cold = mcf::max_concurrent_flow(g, commodities, opt);
+  ASSERT_TRUE(cold.truncated);
+  warm.solve(g, commodities, opt);
+  mcf::McfResult again = warm.solve(g, commodities, opt);
+  EXPECT_EQ(warm.last_tier(), WarmTier::Cold);
+  EXPECT_TRUE(bits_equal(again.lambda_lower, cold.lambda_lower));
+  EXPECT_TRUE(bits_equal(again.lambda_upper, cold.lambda_upper));
+}
+
+TEST(McfWarm, BudgetIsPartOfTheWarmInstanceKey) {
+  // A resume across different budgets would replay the old budget's
+  // trajectory; the cache must treat a budget change as a new instance.
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  McfWarmCache warm(McfWarmCacheOptions{/*exact_only=*/true});
+
+  warm.solve(g, commodities, budget_options(1000000));  // converges
+  mcf::McfResult cold = mcf::max_concurrent_flow(g, commodities, budget_options(0));
+  mcf::McfResult switched = warm.solve(g, commodities, budget_options(0));
+  EXPECT_EQ(warm.last_tier(), WarmTier::Cold);  // key mismatch, no resume
+  EXPECT_TRUE(bits_equal(switched.lambda_lower, cold.lambda_lower));
+  EXPECT_TRUE(bits_equal(switched.lambda_upper, cold.lambda_upper));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // svc::Service end to end, in process: the byte-identity matrix (threads
-// 1 vs 8, obs on vs off, cold vs incremental), the journal's replay
+// 1 vs 8, obs on vs off), the journal's replay
 // fixpoint, deadline-budgeted responses, the protocol error paths, and
 // deterministic batch accounting. This is the sockets-free version of the
 // acceptance criterion the flattree_svc binary test repeats out of
@@ -79,7 +79,7 @@ std::string full_script() {
 )";
 }
 
-TEST(Service, ByteIdentityAcrossThreadsObsAndIncremental) {
+TEST(Service, ByteIdentityAcrossThreadsAndObs) {
   const std::string script = full_script();
   ServiceOptions base;
   base.max_batch = 4;
@@ -91,18 +91,14 @@ TEST(Service, ByteIdentityAcrossThreadsObsAndIncremental) {
   struct Config {
     unsigned threads;
     bool obs;
-    bool incremental;
   };
-  const Config configs[] = {{8, false, false}, {1, false, true}, {8, false, true},
-                            {1, true, false},  {8, true, true}};
+  const Config configs[] = {{8, false}, {1, true}, {8, true}};
   for (const Config& c : configs) {
     exec::set_global_threads(c.threads);
     obs::set_enabled(c.obs);
-    ServiceOptions opt = base;
-    opt.incremental = c.incremental;
-    RunResult got = run_service(script, opt);
+    RunResult got = run_service(script, base);
     EXPECT_EQ(got.responses, reference.responses)
-        << "threads=" << c.threads << " obs=" << c.obs << " inc=" << c.incremental;
+        << "threads=" << c.threads << " obs=" << c.obs;
     EXPECT_EQ(got.journal, reference.journal);
   }
   obs::set_enabled(false);
