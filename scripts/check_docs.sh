@@ -9,9 +9,10 @@
 #   2. Table-of-contents coverage — every `##` section of DESIGN.md and
 #      EXPERIMENTS.md is linked from that file's ToC.
 #   3. Header doc coverage — every public header under src/graph/, src/inc/,
-#      src/mcf/, src/fault/, src/routing/, src/svc/, src/te/ and src/design/ has a
-#      file-level comment, and every namespace-scope declaration (struct/
-#      class/enum/free function) is immediately preceded by a doc comment.
+#      src/mcf/, src/fault/, src/routing/, src/sim/, src/svc/, src/te/ and
+#      src/design/ has a file-level comment, and every namespace-scope
+#      declaration (struct/class/enum/free function) is immediately
+#      preceded by a doc comment.
 #   4. README bench catalog — the bench catalog table in README.md lists
 #      every bench binary that exists under bench/.
 #
@@ -128,7 +129,7 @@ def covered(lines, i):
     return prev.startswith(("//", "///", "/*", "*", "*/")) or prev.endswith("*/")
 
 HEADER_DIRS = ["src/graph", "src/inc", "src/mcf", "src/fault", "src/routing",
-               "src/svc", "src/svc/durable", "src/te", "src/design"]
+               "src/sim", "src/svc", "src/svc/durable", "src/te", "src/design"]
 for d in HEADER_DIRS:
     for name in sorted(os.listdir(os.path.join(root, d))):
         if not name.endswith(".hpp"):

@@ -37,6 +37,12 @@ class Fib {
   /// std::runtime_error when no route is installed.
   graph::LinkId select(NodeId at, NodeId dst, std::uint64_t flow_id) const;
 
+  /// Calls fn(dst, hops) for every entry at `at`, in unspecified order.
+  template <class Fn>
+  void for_each_entry(NodeId at, Fn&& fn) const {
+    for (const auto& [dst, hops] : tables_.at(at)) fn(dst, hops);
+  }
+
   std::size_t switch_count() const { return tables_.size(); }
   /// Total number of (switch, destination, link) rules.
   std::size_t rule_count() const;

@@ -11,6 +11,8 @@
 
 namespace flattree::sim {
 
+/// A max-min fair allocation instance: resources with capacities, and
+/// the set of resources each flow occupies.
 struct FairShareProblem {
   /// Resource capacities (> 0).
   std::vector<double> capacity;

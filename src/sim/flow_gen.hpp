@@ -16,6 +16,7 @@
 
 namespace flattree::sim {
 
+/// Short/long flow-size mixture (see the file comment for the shape).
 struct FlowSizeDist {
   double p_short = 0.8;
   double short_lo = 0.01, short_hi = 0.1;

@@ -16,6 +16,8 @@
 
 namespace flattree::sim {
 
+/// One fluid flow: a volume of data from `src` to `dst`, arriving at
+/// `arrival`.
 struct SimFlow {
   topo::ServerId src = 0;
   topo::ServerId dst = 0;
@@ -23,6 +25,7 @@ struct SimFlow {
   double arrival = 0.0;  ///< arrival time
 };
 
+/// A completed flow: its input, finish time and switch-path length.
 struct FlowRecord {
   SimFlow flow;
   double finish = 0.0;
@@ -30,10 +33,13 @@ struct FlowRecord {
   double fct() const { return finish - flow.arrival; }
 };
 
+/// Flow-level simulator parameters.
 struct SimConfig {
   double nic_capacity = 1.0;  ///< server NIC rate, in link-capacity units
 };
 
+/// Fluid max-min fair simulation of flows over one topology and routing
+/// scheme, recomputing rates at every arrival and completion.
 class FlowSimulator {
  public:
   /// `routing` selects switch-level paths on `topo`'s graph; both must

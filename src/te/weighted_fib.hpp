@@ -66,6 +66,13 @@ class WeightedFib {
   /// iterate the table deterministically through this).
   std::vector<NodeId> destinations(NodeId at) const;
 
+  /// Calls fn(dst, rules) for every entry at `at`, in unspecified order
+  /// (no sort; for consumers whose result does not depend on the order).
+  template <class Fn>
+  void for_each_entry(NodeId at, Fn&& fn) const {
+    for (const auto& [dst, hops] : tables_.at(at)) fn(dst, hops);
+  }
+
   std::size_t switch_count() const { return tables_.size(); }
   /// Total number of (switch, destination, link) rules.
   std::size_t rule_count() const;
