@@ -1,12 +1,13 @@
-// Chaos bench (ISSUE 5 tentpole): availability timeline under a seeded
-// fault/repair trace, fat-tree reroute-only vs flat-tree reconversion.
+// Chaos bench: availability timeline under a seeded fault/repair trace,
+// fat-tree reroute-only vs flat-tree reconversion.
 //
 // One Scenario (src/fault) is generated from the physical Clos baseline —
 // switch ids are shared by every conversion, so the identical trace
 // stresses both tracks:
 //
-//   fat   static fat-tree; faults only remove links/switches (FaultedGraph
-//         tombstones and restores the affected links in place).
+//   fat   static fat-tree; faults only take links out (each report point
+//         degrades the Clos baseline afresh; the summary counts every
+//         link a fault cut and every link a repair healed).
 //   flat  ResilientController converting Clos -> --mode from t=0, advancing
 //         --convert-rate micro-transactions per event, so faults land mid-
 //         reconfiguration and exercise replan / rollback / recovery.
@@ -20,9 +21,9 @@
 // round trip. --selfcheck validates every instant (assignment validity,
 // degraded topology battery, certify_served, fault-tally conservation).
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -34,35 +35,6 @@
 using namespace flattree;
 
 namespace {
-
-// Alive servers of the component holding the most alive servers (ties:
-// smallest union-find root). APL is only defined within one component —
-// server_apl_subset throws on disconnected pairs.
-std::vector<topo::ServerId> largest_alive_component(const topo::Topology& t,
-                                                    const std::vector<char>& stranded) {
-  std::vector<graph::NodeId> parent(t.switch_count());
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](graph::NodeId v) {
-    while (parent[v] != v) v = parent[v] = parent[parent[v]];
-    return v;
-  };
-  const graph::Graph& g = t.graph();
-  for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-    if (!g.link_live(l)) continue;
-    graph::NodeId ra = find(g.link(l).a), rb = find(g.link(l).b);
-    if (ra != rb) parent[ra < rb ? rb : ra] = ra < rb ? ra : rb;
-  }
-  std::vector<std::size_t> weight(t.switch_count(), 0);
-  for (topo::ServerId s = 0; s < t.server_count(); ++s)
-    if (!stranded[s]) ++weight[find(t.host(s))];
-  graph::NodeId best = 0;
-  for (graph::NodeId v = 1; v < t.switch_count(); ++v)
-    if (weight[v] > weight[best]) best = v;
-  std::vector<topo::ServerId> subset;
-  for (topo::ServerId s = 0; s < t.server_count(); ++s)
-    if (!stranded[s] && find(t.host(s)) == best) subset.push_back(s);
-  return subset;
-}
 
 std::string event_label(const fault::FaultEvent& e) {
   std::ostringstream os;
@@ -186,9 +158,20 @@ int main(int argc, char** argv) {
   double total_demand = 0.0;
   for (const auto& d : demands) total_demand += d.demand;
 
-  // Fat-tree track: static topology, degraded graph maintained in place.
+  // Fat-tree track: static topology. cut[l] marks the Clos links the
+  // current faults take out; every flip counts as a cut or a heal.
   fault::FaultState ft_state(net.params().total_switches(), net.converters().size());
-  fault::FaultedGraph faulted(clos, ft_state);
+  std::vector<char> cut(clos.graph().link_count(), 0);
+  std::uint64_t links_cut = 0, links_healed = 0;
+  auto recount_cuts = [&](graph::NodeId v) {
+    for (const graph::Arc& arc : clos.graph().neighbors(v)) {
+      const char now = ft_state.switch_down(v) || ft_state.switch_down(arc.to) ||
+                       ft_state.pair_down(v, arc.to);
+      if (now == cut[arc.link]) continue;
+      cut[arc.link] = now;
+      ++(now ? links_cut : links_healed);
+    }
+  };
 
   // Flat-tree track: resilient controller converting from t = 0.
   fault::ResilientOptions ropt;
@@ -237,7 +220,7 @@ int main(int argc, char** argv) {
                           bool mcf_now) {
     std::vector<char> stranded(d.topo.server_count(), 0);
     for (topo::ServerId s : d.stranded) stranded[s] = 1;
-    auto subset = largest_alive_component(d.topo, stranded);
+    auto subset = fault::largest_alive_component(d.topo, stranded);
     const double apl =
         subset.size() >= 2 ? topo::server_apl_subset(d.topo, subset).average : 0.0;
     table.begin_row();
@@ -273,7 +256,10 @@ int main(int argc, char** argv) {
   std::size_t report_idx = 0;
   for (std::size_t i = 0; i < scenario.events.size(); ++i) {
     const fault::FaultEvent& e = scenario.events[i];
-    if (ft_state.apply(e)) faulted.on_event(ft_state, e);
+    // Converter events gate reconfiguration only; the fat track has none.
+    if (ft_state.apply(e) && e.kind != fault::FaultKind::ConverterStuck &&
+        e.kind != fault::FaultKind::ConverterFreed)
+      recount_cuts(e.a);
     fault::EventOutcome out = ctl.on_event(e);
     ctl_steps += out.steps_applied;
     ctl_replans += out.replans;
@@ -295,14 +281,12 @@ int main(int argc, char** argv) {
     fault::DegradeResult d_fat = fault::degrade(clos, ft_state);
     check_degraded_topo(d_fat, "fat degraded");
     if (bench::selfcheck_enabled()) {
-      // The in-place degraded graph must agree with the cold rebuild.
+      // The flip-tracked cut set must agree with the cold rebuild.
       check::Report r;
       r.note_check();
-      if (faulted.graph().live_link_count() != d_fat.topo.graph().link_count())
-        r.add("fault.journal.links", "FaultedGraph live links != cold degrade");
-      r.note_check();
-      if (faulted.stranded(ft_state) != d_fat.stranded)
-        r.add("fault.journal.stranded", "FaultedGraph stranded != cold degrade");
+      if (static_cast<std::size_t>(std::count(cut.begin(), cut.end(), 1)) !=
+          d_fat.dropped_links)
+        r.add("fault.journal.links", "cut links != cold degrade's dropped links");
       bench::selfcheck_record(r, "fat journal");
     }
     report_track(e.time, label, "fat", ft_state, d_fat, mcf_now);
@@ -331,8 +315,8 @@ int main(int argc, char** argv) {
   summary.add("-");
   summary.add("-");
   summary.add("-");
-  summary.integer(static_cast<std::int64_t>(faulted.links_removed()));
-  summary.integer(static_cast<std::int64_t>(faulted.links_restored()));
+  summary.integer(static_cast<std::int64_t>(links_cut));
+  summary.integer(static_cast<std::int64_t>(links_healed));
   summary.begin_row();
   summary.add("flat");
   summary.integer(static_cast<std::int64_t>(ctl.stranded_servers().size()));

@@ -62,10 +62,13 @@ std::vector<ConverterConfig> ResilientController::fault_aware_target(
   // re-homing restores the very connectivity that justified it (a link-
   // isolated edge regains a transit link under the rescued configuration,
   // so pass 1 would move the servers straight back); the candidate that
-  // strands fewer servers wins, ties to the later pass.
+  // strands fewer servers wins, ties to the later pass. Pass 1 degrades
+  // pass 0's candidate anyway, so its stranded count is taken from there.
   std::vector<std::vector<ConverterConfig>> candidates;
+  std::size_t s0 = 0;
   for (int pass = 0; pass < 2; ++pass) {
     DegradeResult d = degrade(net_.materialize(out), state_);
+    if (pass == 1) s0 = d.stranded.size();
     std::vector<std::uint32_t> degree(d.topo.switch_count(), 0);
     for (const graph::Link& link : d.topo.graph().links()) {
       ++degree[link.a];
@@ -125,7 +128,6 @@ std::vector<ConverterConfig> ResilientController::fault_aware_target(
     out = std::move(next);
     candidates.push_back(out);
   }
-  std::size_t s0 = degrade(net_.materialize(candidates[0]), state_).stranded.size();
   std::size_t s1 = degrade(net_.materialize(candidates[1]), state_).stranded.size();
   return s0 < s1 ? std::move(candidates[0]) : std::move(candidates[1]);
 }

@@ -5,10 +5,10 @@
 // switch failure also downed; a flapping burst re-downs a pair already
 // down. FaultState therefore tracks *down counts* per entity, not
 // booleans: an entity is down while its count is positive, and only the
-// 0 -> 1 and 1 -> 0 transitions are edge-triggered (those are what
-// degrade() and FaultedGraph react to). Applying a trace and its matching
-// repairs in any interleaving returns every count to zero — the
-// conservation invariant check_conserved() certifies and the
+// 0 -> 1 and 1 -> 0 transitions are edge-triggered (apply() reports them;
+// degrade() reads only the current state, never the history). Applying a
+// trace and its matching repairs in any interleaving returns every count
+// to zero — the conservation invariant check_conserved() certifies and the
 // fault.apply.* / fault.unapply.* obs counters mirror.
 //
 // apply() is O(1) per event (amortized hash-map on link pairs) and keeps

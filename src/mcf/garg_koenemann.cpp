@@ -136,11 +136,9 @@ McfResult max_concurrent_flow(const graph::Graph& g,
       throw std::invalid_argument(
           "max_concurrent_flow: non-positive or non-finite link capacity");
   }
-  // DirectedNet expands every link slot; tombstoned slots would silently
-  // re-admit dead links, so edited graphs are rejected outright (solve on
-  // the materialized topology instead — inc::McfWarmCache does).
-  if (g.live_link_count() != g.link_count())
-    throw std::invalid_argument("max_concurrent_flow: graph has tombstoned links");
+  // DirectedNet expands every link into two arcs. Graph is append-only, so
+  // a degraded fabric arrives as a fresh graph without its dead links
+  // (fault::degrade) and every link here is live.
 
   // -- unreachable-commodity pre-pass (allow_unreachable) ------------------
   // Arcs are symmetric (full-duplex links), so directed reachability

@@ -48,6 +48,9 @@ TEST(ChaosEquivalence, TimelineIsByteIdenticalAcrossThreads) {
   std::string ref = slurp(t1);
   ASSERT_FALSE(ref.empty());
   EXPECT_EQ(ref, slurp(t8));
+  // The fat track's summary row, pinned: links cut and healed over the
+  // whole trace (every generated failure carries its repair, so they match).
+  EXPECT_NE(ref.find("\nfat,0,-,-,-,-,9,9\n"), std::string::npos) << ref;
 }
 
 TEST(ChaosEquivalence, SaveReplayReproducesTheTimeline) {

@@ -4,20 +4,10 @@
 
 #include <algorithm>
 
-#include "core/flat_tree.hpp"
-#include "fault/degrade.hpp"
 #include "fault/fault_check.hpp"
-#include "fault/scenario.hpp"
-#include "graph/bfs.hpp"
 
 namespace flattree::fault {
 namespace {
-
-core::FlatTreeNetwork make_net(std::uint32_t k = 4) {
-  core::FlatTreeConfig cfg;
-  cfg.k = k;
-  return core::FlatTreeNetwork(cfg);
-}
 
 FaultEvent ev(double t, FaultKind kind, std::uint32_t a, std::uint32_t b = 0) {
   FaultEvent e;
@@ -74,62 +64,6 @@ TEST(FaultState, FailedSwitchesIsNormalized) {
   EXPECT_EQ(f.failed_switches, (std::vector<NodeId>{4, 9, 12}));
   EXPECT_TRUE(f.contains(9));
   EXPECT_FALSE(f.contains(5));
-}
-
-// The in-place FaultedGraph must agree with a cold degrade()
-// rebuild at every instant of a trace, and a fully played trace restores
-// every tombstoned slot.
-TEST(FaultedGraph, TracksColdDegradeAcrossATrace) {
-  core::FlatTreeNetwork net = make_net();
-  topo::Topology clos = net.build(core::Mode::Clos);
-  ScenarioParams p;
-  p.duration = 40.0;
-  p.seed = 5;
-  p.switches = {50.0, 4.0};
-  p.link = {60.0, 3.0};
-  p.pod_power = {150.0, 3.0};
-  p.flap_probability = 0.5;
-  Scenario sc = generate_scenario(clos, p, 0, net.params().pods());
-  ASSERT_FALSE(sc.events.empty());
-
-  FaultState state(net.params().total_switches(), 0);
-  FaultedGraph fg(clos, state);
-  for (const FaultEvent& e : sc.events) {
-    if (state.apply(e)) fg.on_event(state, e);
-    DegradeResult d = degrade(clos, state);
-    ASSERT_EQ(fg.graph().live_link_count(), d.topo.graph().link_count());
-    ASSERT_EQ(fg.stranded(state), d.stranded);
-    // Distances must match too (same live adjacency, different storage).
-    auto live = graph::bfs_distances(fg.graph(), 0);
-    auto cold = graph::bfs_distances(d.topo.graph(), 0);
-    ASSERT_EQ(live, cold);
-  }
-  EXPECT_TRUE(state.clean());
-  EXPECT_EQ(fg.links_removed(), fg.links_restored());
-  EXPECT_EQ(fg.graph().live_link_count(), clos.graph().link_count());
-}
-
-// Link-granularity strandedness: a *live* host whose every link is dead
-// still strands its servers, in both degrade forms.
-TEST(FaultedGraph, IsolatedLiveHostStrandsServers) {
-  core::FlatTreeNetwork net = make_net();
-  topo::Topology clos = net.build(core::Mode::Clos);
-  // Pick a switch that hosts servers and cut all its links.
-  NodeId host = clos.host(0);
-  FaultState state(net.params().total_switches(), 0);
-  FaultedGraph fg(clos, state);
-  const graph::Graph& g = clos.graph();
-  double t = 1.0;
-  for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-    if (g.link(l).a != host && g.link(l).b != host) continue;
-    FaultEvent e = ev(t++, FaultKind::LinkDown, g.link(l).a, g.link(l).b);
-    if (state.apply(e)) fg.on_event(state, e);
-  }
-  EXPECT_FALSE(state.switch_down(host));
-  DegradeResult d = degrade(clos, state);
-  EXPECT_FALSE(d.stranded.empty());
-  EXPECT_EQ(fg.stranded(state), d.stranded);
-  for (ServerId s : d.stranded) EXPECT_EQ(clos.host(s), host);
 }
 
 TEST(FaultState, StuckConvertersAreTracked) {

@@ -250,25 +250,21 @@ TEST(MultiBfs, AuditHookSamplesEveryBatch) {
 
 // -- concurrency regression (run under the tsan preset, label `bitbfs`) -----
 
-// The lazy-CSR double-checked lock must publish a *patched* index to
-// readers that race on the first neighbors() call after a remove/restore.
-// Before the fix, only add_link invalidated the guard; remove_link left
-// csr_valid_ stale so concurrent readers could see the dead link. The
-// mutation itself happens-before the reader threads (thread creation), per
-// the documented contract.
+// The lazy-CSR double-checked lock must publish a *rebuilt* index to
+// readers that race on the first neighbors() call after an append
+// (add_link/add_nodes, the only invalidations a Graph has). The append
+// itself happens-before the reader threads (thread creation), per the
+// documented contract.
 TEST(LazyCsr, ConcurrentReadAfterMutateIsRaceFree) {
   Graph g = random_graph(24, 60, 13);
-  g.ensure_csr();  // build once so the edit takes the patch path
+  g.ensure_csr();  // built once, so every round's append invalidates it
 
   util::Rng rng(13);
   for (int round = 0; round < 8; ++round) {
-    LinkId flip = static_cast<LinkId>(rng.index(g.link_count()));
-    if (g.link_live(flip))
-      g.remove_link(flip);
-    else
-      g.restore_link(flip);
-    // Readers race each other on the lazily patched CSR (the mutation
-    // above is sequenced before both threads start).
+    if (round % 3 == 2) g.add_nodes(1);
+    NodeId a = static_cast<NodeId>(rng.below(g.node_count() - 1));
+    g.add_link(a, static_cast<NodeId>(g.node_count() - 1));
+    // Readers race each other on the lazily rebuilt CSR.
     auto reader = [&g]() {
       for (NodeId s = 0; s < g.node_count(); s += 3) {
         auto dist = bfs_distances(g, s);
@@ -279,10 +275,9 @@ TEST(LazyCsr, ConcurrentReadAfterMutateIsRaceFree) {
     t1.join();
     t2.join();
     t3.join();
-    // The patched view must match what a from-scratch rebuild sees.
+    // The rebuilt view must match a graph that never had a stale CSR.
     Graph fresh(g.node_count());
-    for (LinkId id = 0; id < g.link_count(); ++id)
-      if (g.link_live(id)) fresh.add_link(g.link(id).a, g.link(id).b);
+    for (const Link& l : g.links()) fresh.add_link(l.a, l.b);
     for (NodeId s = 0; s < g.node_count(); ++s)
       ASSERT_EQ(bfs_distances(g, s), bfs_distances(fresh, s));
   }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/flat_tree.hpp"
+#include "fault/degrade.hpp"
 #include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
 #include "routing/ecmp.hpp"
@@ -37,18 +38,11 @@ class EnumeratedEcmp : public Routing {
   EcmpRouting inner_;
 };
 
-/// A topology plus the graph routes run over: the topology's own graph,
-/// or a copy with links tombstoned (a degraded fabric).
+/// A named topology; routes run over its own graph.
 struct DagCase {
   std::string name;
   topo::Topology topo;
-  graph::Graph graph;
 };
-
-inline DagCase make_case(std::string name, topo::Topology topo) {
-  graph::Graph g = topo.graph();
-  return {std::move(name), std::move(topo), std::move(g)};
-}
 
 inline topo::Topology flat_tree(std::uint32_t k, core::Mode mode) {
   core::FlatTreeConfig cfg;
@@ -56,28 +50,40 @@ inline topo::Topology flat_tree(std::uint32_t k, core::Mode mode) {
   return core::FlatTreeNetwork(cfg).build(mode);
 }
 
+/// Fat-tree k=6 with a few links cut by LinkDown faults (each cut kept only
+/// while the fabric stays connected), rebuilt by fault::degrade.
+inline topo::Topology degraded_fat_tree() {
+  topo::Topology ft = topo::build_fat_tree(6).topo;
+  fault::FaultState state(ft.switch_count(), 0);
+  double t = 1.0;
+  for (graph::LinkId l : {1u, 9u, 17u, 25u, 33u, 41u}) {
+    fault::FaultEvent e;
+    e.time = t++;
+    e.kind = fault::FaultKind::LinkDown;
+    e.a = ft.graph().link(l).a;
+    e.b = ft.graph().link(l).b;
+    state.apply(e);
+    if (!graph::is_connected(fault::degrade(ft, state).topo.graph())) {
+      e.time = t++;
+      e.kind = fault::FaultKind::LinkUp;
+      state.apply(e);
+    }
+  }
+  return fault::degrade(ft, state).topo;
+}
+
 /// Fat-tree k=4/6/8, flat-tree Clos/local/global, Jellyfish, and a
-/// degraded fat-tree whose CSR was patched in place (removals plus one
-/// restore), so adjacency order no longer follows link ids.
+/// degraded fat-tree.
 inline std::vector<DagCase> dag_cases() {
   std::vector<DagCase> cases;
   for (std::uint32_t k : {4u, 6u, 8u})
-    cases.push_back(make_case("fat-tree k=" + std::to_string(k),
-                              topo::build_fat_tree(k).topo));
-  cases.push_back(make_case("flat-tree clos", flat_tree(8, core::Mode::Clos)));
-  cases.push_back(make_case("flat-tree local", flat_tree(8, core::Mode::LocalRandom)));
-  cases.push_back(make_case("flat-tree global", flat_tree(8, core::Mode::GlobalRandom)));
+    cases.push_back({"fat-tree k=" + std::to_string(k), topo::build_fat_tree(k).topo});
+  cases.push_back({"flat-tree clos", flat_tree(8, core::Mode::Clos)});
+  cases.push_back({"flat-tree local", flat_tree(8, core::Mode::LocalRandom)});
+  cases.push_back({"flat-tree global", flat_tree(8, core::Mode::GlobalRandom)});
   util::Rng rng(7);
-  cases.push_back(make_case("jellyfish", topo::build_jellyfish_like_fat_tree(6, rng)));
-
-  DagCase degraded = make_case("degraded fat-tree k=6", topo::build_fat_tree(6).topo);
-  degraded.graph.ensure_csr();
-  for (graph::LinkId l : {1u, 5u, 9u, 17u, 25u, 33u, 41u}) {
-    degraded.graph.remove_link(l);
-    if (!graph::is_connected(degraded.graph)) degraded.graph.restore_link(l);
-  }
-  degraded.graph.restore_link(5);
-  cases.push_back(std::move(degraded));
+  cases.push_back({"jellyfish", topo::build_jellyfish_like_fat_tree(6, rng)});
+  cases.push_back({"degraded fat-tree k=6", degraded_fat_tree()});
   return cases;
 }
 

@@ -39,8 +39,8 @@ TEST(FibDag, MatchesEnumerationOnEveryTopology) {
   for (const auto& c : dag_cases()) {
     ObsScope obs;
     auto pairs = all_server_pairs(c.topo);
-    EcmpRouting ecmp(c.graph);
-    EnumeratedEcmp reference(c.graph);
+    EcmpRouting ecmp(c.topo.graph());
+    EnumeratedEcmp reference(c.topo.graph());
     Fib dag = compile_fib(c.topo, ecmp, pairs);
     EXPECT_EQ(counter("routing.fib.dag_destinations"), destination_count(pairs)) << c.name;
     EXPECT_EQ(counter("routing.fib.enumerated_destinations"), 0u) << c.name;
@@ -52,8 +52,8 @@ TEST(FibDag, MatchesEnumerationOnEveryTopology) {
 TEST(FibDag, DuplicatePairsMatchEnumeration) {
   for (const auto& c : dag_cases()) {
     auto pairs = testing::pairs_with_duplicates(c.topo);
-    EcmpRouting ecmp(c.graph);
-    EnumeratedEcmp reference(c.graph);
+    EcmpRouting ecmp(c.topo.graph());
+    EnumeratedEcmp reference(c.topo.graph());
     expect_same_fib(compile_fib(c.topo, ecmp, pairs), compile_fib(c.topo, reference, pairs),
                     c.name);
   }

@@ -44,8 +44,8 @@ TEST(WcmpDag, MatchesPathTallyOnEveryTopology) {
   for (const auto& c : dag_cases()) {
     ObsScope obs;
     auto pairs = routing::all_server_pairs(c.topo);
-    routing::EcmpRouting ecmp(c.graph);
-    EnumeratedEcmp reference(c.graph);
+    routing::EcmpRouting ecmp(c.topo.graph());
+    EnumeratedEcmp reference(c.topo.graph());
     WeightedFib dag = compile_wcmp_paths(c.topo, ecmp, pairs);
     EXPECT_EQ(counter("routing.fib.enumerated_destinations"), 0u) << c.name;
     EXPECT_GT(counter("routing.fib.dag_destinations"), 0u) << c.name;
@@ -56,8 +56,8 @@ TEST(WcmpDag, MatchesPathTallyOnEveryTopology) {
 TEST(WcmpDag, DuplicatePairsMatchPathTally) {
   for (const auto& c : dag_cases()) {
     auto pairs = routing::testing::pairs_with_duplicates(c.topo);
-    routing::EcmpRouting ecmp(c.graph);
-    EnumeratedEcmp reference(c.graph);
+    routing::EcmpRouting ecmp(c.topo.graph());
+    EnumeratedEcmp reference(c.topo.graph());
     expect_same_wfib(compile_wcmp_paths(c.topo, ecmp, pairs),
                      compile_wcmp_paths(c.topo, reference, pairs), c.name);
   }
